@@ -206,12 +206,12 @@ def autotune_selection(engine, plan, graph, layer) -> Optional[AutotuneResult]:
     if engine._cost_models is not None:
         models = engine.cost_models
         eff = engine.system.efficiency
-        graph_vec = engine._graph_vec_cache.get(id(graph))
+        graph_vec = engine._graph_vecs.get(graph)
         if graph_vec is None:
             from .features import featurize_graph
 
             graph_vec = featurize_graph(graph)
-            engine._graph_vec_cache[id(graph)] = graph_vec
+            engine._graph_vecs[graph] = graph_vec
         for strategy, measured in result.best_per_strategy.items():
             primitive = _STRATEGY_PRIMITIVES.get(strategy) or call.primitive
             variant = KernelCall(primitive, dict(call.shape), tag=call.tag)

@@ -17,8 +17,8 @@ plan pool into a graceful-degradation ladder:
   (``REPRO_MEM_BUDGET_MB``), checked before execution against the plan's
   estimated peak and *during* execution between kernels;
 - :class:`CircuitBreaker` — per-(primitive, strategy) failure counters
-  that trip after ``REPRO_BREAKER_THRESHOLD`` failures, excluding the
-  strategy from :meth:`GraniiEngine.select_spmm_strategy` until a
+  that trip after ``REPRO_BREAKER_THRESHOLD`` failures; the ladder skips
+  every rung that would run an open strategy until a
   ``REPRO_BREAKER_COOLDOWN``-second cooldown elapses;
 - :class:`GuardedExecutor` — the drop-in ``layer.forward`` replacement
   that walks the ladder: chosen plan under its selected strategy → same
@@ -314,8 +314,8 @@ class CircuitBreaker:
 
     Keys are ``(primitive, strategy)`` pairs.  After ``threshold``
     recorded failures the key *trips*: :meth:`is_open` returns True for
-    ``cooldown_seconds``, during which the engine's strategy selection
-    excludes it and the guarded executor skips rungs that would use it.
+    ``cooldown_seconds``, during which the guarded executor skips rungs
+    that would use it.
     When the cooldown elapses the key resets fully (closed, count zero),
     restoring the strategy to the candidate pool.
 
@@ -441,8 +441,8 @@ class GuardedExecutor:
     reference ``row_segment`` kernels (a strategy bug must not disqualify
     a healthy composition), then the remaining surviving plans cheapest
     first.  A rung that fails is retired for the life of the executor;
-    the per-(primitive, strategy) circuit breaker additionally steers
-    *future* selections away from a repeatedly failing strategy until
+    the per-(primitive, strategy) circuit breaker additionally makes
+    *future* executors skip a repeatedly failing strategy's rungs until
     its cooldown elapses.
     """
 

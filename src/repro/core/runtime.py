@@ -19,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +29,7 @@ from .. import config
 from ..framework import MPGraph, get_system
 from ..graphs import Graph
 from ..hardware import get_device
-from ..kernels import SPMM_STRATEGIES, KernelCall
+from ..kernels import SPMM_STRATEGIES
 from ..tensor import Tensor
 from .bindings import build_binding, model_ir_kwargs, model_ir_name
 from .codegen import CompiledModel, PlannedCandidate, compile_model
@@ -39,19 +40,6 @@ from .ir import ShapeEnv
 from .plan import KernelExecutionConfig, Plan
 
 __all__ = ["SelectionReport", "OptimizationReport", "GraniiEngine"]
-
-# Cost-model primitive that prices each alternative execution strategy of
-# the plan's spmm/spmm_unweighted calls.  ``row_segment`` is priced by the
-# original calls themselves; ``gather_scatter`` has no dedicated model (it
-# shares the scatter cost profile already folded into ``spmm``) and is
-# only selectable explicitly.
-_SPMM_STRATEGY_PRIMITIVES = {
-    "blocked": "spmm_blocked",
-    "blocked_parallel": "spmm_parallel",
-    "spmm_sharded": "spmm_sharded",
-    "spmm_fused": "spmm_fused",
-}
-
 
 @dataclass
 class SelectionReport:
@@ -242,7 +230,12 @@ class GraniiEngine:
         self.guarded = config.guard_enabled() if guarded is None else bool(guarded)
         self.breakers = breakers if breakers is not None else CircuitBreaker()
         self._cost_models = cost_models
-        self._graph_vec_cache: Dict[int, np.ndarray] = {}
+        # graph half of the cost-model features, weakly keyed by the Graph:
+        # an entry dies with its graph, so neither a recycled id() can
+        # alias a new graph nor does the engine keep graphs alive
+        self._graph_vecs: "weakref.WeakKeyDictionary[Graph, np.ndarray]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -329,21 +322,10 @@ class GraniiEngine:
     ) -> Tuple[str, Dict[str, float]]:
         """Pick the aggregation strategy for this (plan, graph) pairing.
 
-        With ``spmm_strategy='auto'`` the plan's per-iteration
-        spmm/spmm_unweighted calls are re-priced under each strategy's
-        cost-model primitive (``spmm_blocked``, ``spmm_parallel``) and the
-        cheapest wins — the same input-aware mechanism the paper applies
-        to composition choice, one level down at the kernel.  Auto only
-        consults models that are already materialised: it never triggers
-        the offline training pass on its own (a single-candidate
-        selection must stay overhead-free), falling back to
-        ``row_segment`` when no models are loaded.
-
-        Strategies whose ``("spmm", strategy)`` circuit breaker is open
-        (repeated runtime failures within the cooldown window) are
-        excluded from auto selection; they rejoin the pool automatically
-        once the cooldown elapses.  ``row_segment`` — the reference
-        strategy — is never excluded.
+        ``spmm_strategy='auto'`` returns ``row_segment``, the kernel of
+        record (scipy CSR·dense for the sum-⊕ aggregations plans use;
+        see :mod:`repro.kernels.spmm`), with no strategy costs.  It is
+        never excluded by a circuit breaker.
 
         A *pinned* strategy (``spmm_strategy != 'auto'``, typically via
         ``REPRO_SPMM_STRATEGY``) is routed through the same static
@@ -351,51 +333,27 @@ class GraniiEngine:
         ``analyze_plan`` rejects this plan under the pinned strategy
         (alias hazards, unbalanced workspace lifetimes), the executor
         falls back to ``row_segment`` with a warning instead of running
-        an unvetted composition.
+        an unvetted composition.  While the pinned strategy's
+        ``("spmm", strategy)`` breaker is open the guarded executor
+        skips its rung; it rejoins once the cooldown elapses.
         """
-        if self.spmm_strategy != "auto":
-            pinned = self.spmm_strategy
-            if pinned != "row_segment":
-                from ..analysis.planlint import analyze_plan
+        if self.spmm_strategy in ("auto", "row_segment"):
+            return "row_segment", {}
+        pinned = self.spmm_strategy
+        from ..analysis.planlint import analyze_plan
 
-                verdict = analyze_plan(plan, strategies=(pinned,))
-                if not verdict.ok:
-                    rules = sorted({d.rule for d in verdict.errors})
-                    warnings.warn(
-                        f"pinned spmm strategy {pinned!r} rejected by plan "
-                        f"analysis ({', '.join(rules)}); falling back to "
-                        f"row_segment",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    return "row_segment", {}
-            return pinned, {}
-        if self._cost_models is None:
+        verdict = analyze_plan(plan, strategies=(pinned,))
+        if not verdict.ok:
+            rules = sorted({d.rule for d in verdict.errors})
+            warnings.warn(
+                f"pinned spmm strategy {pinned!r} rejected by plan "
+                f"analysis ({', '.join(rules)}); falling back to "
+                f"row_segment",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             return "row_segment", {}
-        setup, per_iter = plan.kernel_calls(env, self.system.degree_method)
-        spmm_calls = [
-            c for c in per_iter if c.primitive in ("spmm", "spmm_unweighted")
-        ]
-        if not spmm_calls:
-            return "row_segment", {}
-        eff = self.system.efficiency
-        models = self.cost_models
-        costs = {
-            "row_segment": models.predict_calls(spmm_calls, graph_vec, eff)
-        }
-        for strategy, primitive in _SPMM_STRATEGY_PRIMITIVES.items():
-            if self.breakers.is_open("spmm", strategy):
-                continue
-            variant = [
-                KernelCall(primitive, dict(c.shape), tag=c.tag)
-                for c in spmm_calls
-            ]
-            try:
-                costs[strategy] = models.predict_calls(variant, graph_vec, eff)
-            except KeyError:
-                # model set predates these primitives; skip the strategy
-                continue
-        return min(costs, key=costs.get), costs
+        return pinned, {}
 
     def select(
         self, compiled: CompiledModel, graph: Graph, layer
@@ -426,14 +384,13 @@ class GraniiEngine:
             # force it here so it never pollutes the measured online overhead
             _ = self.cost_models
         t0 = time.perf_counter()
-        key = id(graph)
-        if key in self._graph_vec_cache:
-            graph_vec = self._graph_vec_cache[key]
-            feature_seconds = 0.0
-        else:
+        graph_vec = self._graph_vecs.get(graph)
+        if graph_vec is None:
             graph_vec = featurize_graph(graph)
-            self._graph_vec_cache[key] = graph_vec
+            self._graph_vecs[graph] = graph_vec
             feature_seconds = time.perf_counter() - t0
+        else:
+            feature_seconds = 0.0
         t1 = time.perf_counter()
         predicted: Dict[str, float] = {}
         if len(viable) == 1:

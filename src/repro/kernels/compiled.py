@@ -61,7 +61,7 @@ from .blocked import (
     row_block_spans,
 )
 from .dense import elu, leaky_relu, relu, sigmoid
-from .segment import _FOLD_BIG, segment_reduce
+from .segment import _FOLD_BIG, _fold_long, segment_reduce
 from .semiring import Semiring, get_semiring
 from .workspace import WorkspaceArena
 
@@ -121,8 +121,8 @@ def _gather_fold(
     ``(nnz, k)`` message array — even tiled — is a full write + re-read
     of the edge volume for nothing.  This fold replays *exactly* the
     accumulation :func:`~repro.kernels.segment.segment_reduce` performs
-    (same ``_FOLD_BIG`` split, same per-segment ``ufunc.reduce`` for long
-    rows, same lockstep left-to-right fold for short ones), but each
+    (same ``_FOLD_BIG`` split, same per-segment fold for long rows, same
+    lockstep left-to-right fold for short ones), but each
     operand is fetched as ``x[cols[...]]`` at the moment it is folded.
     Same values, same order — bitwise-identical output, one less pass
     over the edges.
@@ -140,9 +140,7 @@ def _gather_fold(
     nbig = int(np.searchsorted(neg_len, -_FOLD_BIG, side="left"))
     for i in range(nbig):
         s0 = int(ordered_start[i])
-        out[order[i]] = ufunc.reduce(
-            x[cols[s0 : s0 + int(ordered_len[i])]], axis=0
-        )
+        out[order[i]] = _fold_long(x[cols[s0 : s0 + int(ordered_len[i])]], ufunc)
     if nonempty > nbig:
         acc = workspace.request((nonempty - nbig, x.shape[1]), slot=2)
         np.take(x, cols[ordered_start[nbig:nonempty]], axis=0, out=acc)

@@ -14,14 +14,22 @@ its internal accumulation order is an implementation detail that varies
 with operand width — unreproducible outside of ``reduceat`` itself.
 Instead:
 
-- segments longer than ``_FOLD_BIG`` edges reduce with one
-  ``ufunc.reduce`` call each (few such segments; each call is a long
-  vectorised reduction);
+- segments longer than ``_FOLD_BIG`` edges reduce with one ufunc call
+  each (few such segments; each call is a long vectorised pass).  For
+  rows of two or more columns that call is ``ufunc.reduce`` along the
+  edge axis, which NumPy folds one edge row at a time.  For 1-D and
+  width-1 values it is ``ufunc.accumulate``: ``ufunc.reduce`` over a
+  contiguous 1-D run sums *pairwise*, which would make a hub row differ
+  from every sequential kernel (scipy, ``gather_scatter``) in the last
+  bits;
 - the many short segments reduce *lockstep*: segments are ranked by
   length so the still-active ones always form a prefix, and one
   vectorised ``ufunc`` call per edge-position folds the s-th edge of
   every active segment at once — a left-to-right sequential fold per
   segment, in CSR edge order.
+
+Every segment, long or short, is therefore a left-to-right sequential
+fold of its values in CSR edge order.
 
 Empty segments yield the identity (``reduceat`` instead returns the
 element *at* the boundary, one of the reasons this wrapper exists).
@@ -33,11 +41,20 @@ import numpy as np
 
 __all__ = ["segment_reduce"]
 
-# Segments longer than this use one ufunc.reduce call; at or below it they
+# Segments longer than this fold with one ufunc call; at or below it they
 # join the lockstep fold.  The split is keyed on segment length alone, so
 # a segment reduces identically regardless of which caller or span it
 # arrives in.
 _FOLD_BIG = 128
+
+
+def _fold_long(segment: np.ndarray, ufunc) -> np.ndarray:
+    """Left-to-right fold of one long segment along axis 0."""
+    if segment.ndim == 1 or segment.shape[1] == 1:
+        # ufunc.reduce sums a contiguous 1-D run pairwise; accumulate is
+        # sequential, and its last element is the left fold
+        return ufunc.accumulate(segment, axis=0)[-1]
+    return ufunc.reduce(segment, axis=0)
 
 
 def segment_reduce(
@@ -68,7 +85,7 @@ def segment_reduce(
     nbig = int(np.searchsorted(neg_len, -_FOLD_BIG, side="left"))
     for i in range(nbig):
         s0 = int(ordered_start[i])
-        out[order[i]] = ufunc.reduce(values[s0 : s0 + int(ordered_len[i])], axis=0)
+        out[order[i]] = _fold_long(values[s0 : s0 + int(ordered_len[i])], ufunc)
     if nonempty > nbig:
         # seed with each segment's first edge, then fold edge s into every
         # segment that still has one — sequential per segment, vectorised

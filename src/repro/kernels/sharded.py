@@ -42,9 +42,12 @@ retry cannot fix), an exhausted respawn budget
 (``REPRO_SHARD_RESPAWNS``), shared-memory exhaustion, or an overall
 call timeout — and then the guarded runtime's fallback ladder demotes
 to an in-process strategy.  Segments are tracked parent-side and
-unlinked on release/atexit so ``/dev/shm`` is left clean; workers
-unregister attachments from their own ``resource_tracker`` to avoid
-double-unlink races.
+unlinked on release/atexit so ``/dev/shm`` is left clean.  Workers
+started by ``multiprocessing`` share the parent's ``resource_tracker``,
+where registering an attached segment again is a no-op, so they leave
+the registration alone: unregistering it there would make the parent's
+own unlink unregister a name the tracker no longer holds, and the
+tracker prints a ``KeyError`` traceback at exit.
 """
 
 from __future__ import annotations
@@ -179,21 +182,10 @@ def estimate_segment_bytes(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Keep the child's resource_tracker from unlinking parent segments."""
-    try:  # pragma: no cover - exercised only in worker processes
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
 def _attach(cache: "OrderedDict[str, shared_memory.SharedMemory]", name: str):
     shm = cache.get(name)
     if shm is None:
         shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
         cache[name] = shm
         while len(cache) > _WORKER_ATTACH_CAP:
             _, old = cache.popitem(last=False)
@@ -253,7 +245,6 @@ def _worker_main(
     hb = None
     try:
         hb_shm = shared_memory.SharedMemory(name=hb_name)
-        _untrack(hb_shm)
         hb = np.ndarray(
             (2,), dtype=np.float64, buffer=hb_shm.buf,
             offset=16 * int(worker_index),

@@ -9,12 +9,19 @@ With the standard ``(sum, mul)`` semiring this is the ordinary ``A @ X``.
 GNN aggregation places destinations on rows and sources on columns, so a
 g-SpMM over the adjacency aggregates neighbor embeddings (paper §II-C).
 
-Five execution strategies are provided:
+Six execution strategies are provided:
 
 ``row_segment``
-    Gathers messages in edge order and reduces them per-row through
-    :func:`~repro.kernels.segment.segment_reduce` — the CSR-natural
-    strategy, fast when rows are long.
+    The kernel of record and the default.  Sum-⊕ semirings (⊕ ∈
+    {``sum``, ``mean``}, ⊗ ∈ {``mul``, ``copy_rhs``}, the ones plan
+    primitives use) multiply through ``scipy.sparse`` CSR·dense, built
+    from the matrix's own arrays (:meth:`~repro.sparse.CSRMatrix.scipy_view`);
+    ``copy_rhs`` uses implicit ones even on a weighted matrix and
+    ``mean`` divides by degree afterwards.  ``gspmm(..., transpose=True)``
+    computes ``Aᵀ·X`` through scipy's free transposed (CSC) view, so the
+    autograd backward pass never builds a transposed CSR.  Every other
+    semiring gathers messages in edge order and reduces them per row
+    through :func:`~repro.kernels.segment.segment_reduce`.
 ``gather_scatter``
     Scatters messages with ``ufunc.at`` — an atomics-like strategy whose
     cost profile mirrors GPU scatter kernels.
@@ -36,8 +43,13 @@ Five execution strategies are provided:
     single pass.  As a bare strategy (no plan context) it runs the
     aggregation alone, bitwise equal to ``blocked``/``row_segment``.
 
-All produce identical results; the hardware model prices them differently,
-which is what lets the engine pick a strategy per input.
+All produce bitwise-identical results: scipy, ``gather_scatter`` and
+``segment_reduce`` each fold a row's messages left to right in CSR edge
+order.  The engine's ``auto`` selection runs ``row_segment``; the other
+strategies run when pinned (``GraniiEngine(spmm_strategy=...)``,
+``REPRO_SPMM_STRATEGY``), autotuned, or forced by
+:func:`spmm_strategy_override`, and with ``transpose=True`` they
+multiply by the memoised :meth:`~repro.sparse.CSRMatrix.transpose`.
 """
 
 from __future__ import annotations
@@ -69,6 +81,13 @@ SPMM_STRATEGIES = (
     "blocked_parallel",
     "spmm_sharded",
     "spmm_fused",
+)
+
+# Semirings the row_segment strategy runs through scipy CSR·dense.
+_SCIPY_SEMIRINGS = frozenset(
+    f"{reduce}.{binary}"
+    for reduce in ("sum", "mean")
+    for binary in ("mul", "copy_rhs")
 )
 
 # Innermost spmm_strategy_override() wins over REPRO_SPMM_STRATEGY.
@@ -133,6 +152,18 @@ def _reduce_row_segment(
     return out
 
 
+def _scipy_sum(
+    adj: CSRMatrix, x: np.ndarray, semiring: Semiring, transpose: bool
+) -> np.ndarray:
+    """Sum-⊕ g-SpMM (or its transpose) through scipy's CSR·dense kernel."""
+    view = adj.scipy_view(pattern_only=semiring.binary.name == "copy_rhs")
+    out = (view.T if transpose else view) @ x
+    if semiring.reduce.is_mean:
+        deg = adj.col_degrees() if transpose else adj.row_degrees()
+        out = out / np.maximum(deg, 1).astype(np.float64)[:, None]
+    return out
+
+
 def _reduce_gather_scatter(
     adj: CSRMatrix, messages: np.ndarray, semiring: Semiring
 ) -> np.ndarray:
@@ -159,6 +190,7 @@ def gspmm(
     num_threads: Optional[int] = None,
     num_workers: Optional[int] = None,
     workspace=None,
+    transpose: bool = False,
 ) -> np.ndarray:
     """Generalized SpMM; see module docstring.
 
@@ -178,6 +210,10 @@ def gspmm(
         per tile, thread-pool width, process-pool width, and the
         :class:`~repro.kernels.workspace.WorkspaceArena` scratch buffers
         come from); ignored by the one-shot strategies.
+    transpose:
+        Multiply by ``adj``'s transpose instead.  ``row_segment`` on a
+        sum-⊕ semiring reads scipy's transposed view; every other case
+        multiplies by :meth:`~repro.sparse.CSRMatrix.transpose`.
     """
     if semiring is None:
         semiring = get_semiring()
@@ -186,6 +222,16 @@ def gspmm(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
+    if strategy == "row_segment" and semiring.name in _SCIPY_SEMIRINGS:
+        inner = adj.shape[0] if transpose else adj.shape[1]
+        if x.shape[0] != inner:
+            raise ValueError(
+                f"gspmm shape mismatch: adj {adj.shape} "
+                f"(transpose={transpose}) vs dense {x.shape}"
+            )
+        return _scipy_sum(adj, x, semiring, transpose)
+    if transpose:
+        adj = adj.transpose()
     if strategy == "blocked":
         from .blocked import gspmm_blocked
 

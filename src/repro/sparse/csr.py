@@ -7,9 +7,10 @@ distinguishes *weighted* sparse matrices (values per non-zero), *unweighted*
 ones (structure only, every stored entry is an implicit 1) and *diagonal*
 matrices (Table I of the paper).
 
-The implementation is NumPy-backed and deliberately self-contained: no
-scipy.sparse objects are used internally, although conversions are provided
-so tests can cross-check against scipy.
+The matrix itself is NumPy arrays.  The sum-⊕ g-SpMM kernel of record
+multiplies through a ``scipy.sparse`` matrix built from those same arrays
+(:meth:`CSRMatrix.scipy_view`, memoised per matrix); :meth:`to_scipy`
+and :meth:`from_scipy` convert to and from independent scipy matrices.
 """
 
 from __future__ import annotations
@@ -261,8 +262,34 @@ class CSRMatrix:
         """Return (rows, cols, values) with implicit ones materialised."""
         return self.row_ids(), self.indices.copy(), self.effective_values().copy()
 
+    def scipy_view(self, pattern_only: bool = False):
+        """A ``scipy.sparse.csr_matrix`` over this matrix's pattern (memoised).
+
+        This is the operand of the sum-⊕ g-SpMM kernel
+        (:func:`~repro.kernels.spmm.gspmm`); its ``.T`` is the free CSC
+        view the backward pass multiplies by.  With ``pattern_only`` the
+        stored entries are implicit ones even when the matrix is
+        weighted (the ``copy_rhs`` aggregation).  The view may share
+        ``values``; treat it as read-only and call no scipy method on it
+        that canonicalises in place (``sort_indices``,
+        ``sum_duplicates``).  Use :meth:`to_scipy` for an independent
+        copy.
+        """
+        weighted = self.values is not None and not pattern_only
+        key = "scipy" if weighted else "scipy_pattern"
+        view = self._aux.get(key)
+        if view is None:
+            import scipy.sparse as sp
+
+            data = self.values if weighted else np.ones(self.nnz)
+            view = sp.csr_matrix(
+                (data, self.indices, self.indptr), shape=self.shape
+            )
+            self._aux[key] = view
+        return view
+
     def to_scipy(self):
-        """Convert to ``scipy.sparse.csr_matrix`` (test cross-checking only)."""
+        """Convert to an independent ``scipy.sparse.csr_matrix``."""
         import scipy.sparse as sp
 
         return sp.csr_matrix(

@@ -43,16 +43,17 @@ def spmm(
 ) -> Tensor:
     """``A @ X`` with a constant (possibly weighted) adjacency.
 
-    Backward: ``dX = A^T @ dY``.  The strategy knobs tune the *forward*
-    aggregation only (every :data:`~repro.kernels.spmm.SPMM_STRATEGIES`
-    member is bitwise-identical, so the executor's pinned strategy is safe
-    under autograd); the backward SpMM keeps the reference kernel.
+    Backward: ``dX = A^T @ dY``, computed by ``gspmm(..., transpose=True)``
+    only when backward runs, so inference never transposes.  The strategy
+    knobs tune the *forward* aggregation only (every
+    :data:`~repro.kernels.spmm.SPMM_STRATEGIES` member is
+    bitwise-identical, so the executor's pinned strategy is safe under
+    autograd); the backward SpMM keeps the default strategy.
     """
-    adj_t = adj.transpose()
     semiring = get_semiring("sum", "mul" if adj.is_weighted else "copy_rhs")
 
     def backward(grad: np.ndarray) -> None:
-        x.accumulate_grad(gspmm(adj_t, grad, semiring))
+        x.accumulate_grad(gspmm(adj, grad, semiring, transpose=True))
 
     out_data = gspmm(
         adj,
@@ -85,12 +86,11 @@ def spmm_edge(
     if edge_vals.data.shape != (pattern.nnz,):
         raise ValueError("edge values must align with the pattern's nnz")
     weighted = pattern.with_values(edge_vals.data)
-    weighted_t = weighted.transpose()
     rows, cols = pattern.row_ids(), pattern.indices
 
     def backward(grad: np.ndarray) -> None:
         edge_vals.accumulate_grad(np.einsum("ek,ek->e", grad[rows], x.data[cols]))
-        x.accumulate_grad(gspmm(weighted_t, grad))
+        x.accumulate_grad(gspmm(weighted, grad, transpose=True))
 
     out_data = gspmm(
         weighted,
@@ -114,7 +114,7 @@ def sddmm_dot(pattern: CSRMatrix, u: Tensor, v: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         weighted = pattern.with_values(grad)
         u.accumulate_grad(gspmm(weighted, v.data))
-        v.accumulate_grad(gspmm(weighted.transpose(), u.data))
+        v.accumulate_grad(gspmm(weighted, u.data, transpose=True))
 
     out_data = np.einsum("ek,ek->e", u.data[rows], v.data[cols])
     return Tensor.make(out_data, (u, v), backward, "sddmm_dot")

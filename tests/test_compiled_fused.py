@@ -446,7 +446,14 @@ class TestAutotune:
         measured = [k for k in selection.strategy_costs
                     if k.startswith("measured:")]
         assert measured
-        assert engine.block_nnz is not None
+        # only the measurements: auto no longer prices strategies
+        assert set(selection.strategy_costs) == set(measured)
+        assert "measured:row_segment" in measured
+        assert selection.spmm_strategy in TUNABLE_STRATEGIES
+        # a tiled winner also pins its block size; row_segment has none
+        assert (engine.block_nnz is None) == (
+            selection.spmm_strategy == "row_segment"
+        )
         # the refinement advanced the device's cost-model token
         assert cost_model_token("h100") != ""
 

@@ -50,12 +50,18 @@ class TestShippedTree:
         }
         assert expected <= ids
 
-    def test_lock_graph_has_the_select_to_breaker_edge(self):
+    def test_lock_graph_has_the_service_to_breaker_edge(self):
         graph = static_lock_graph()
         assert (
-            "repro.serving.service.GraniiService._select_lock",
+            "repro.serving.service.GraniiService._lock",
             "repro.core.guard.CircuitBreaker._lock",
         ) in graph.edges
+        # selection runs the kernel of record without consulting the
+        # breakers, so it takes no lock under _select_lock
+        assert not any(
+            a == "repro.serving.service.GraniiService._select_lock"
+            for a, _ in graph.edges
+        )
 
     def test_site_index_round_trips_construction_sites(self):
         graph = static_lock_graph()

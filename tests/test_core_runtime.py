@@ -50,6 +50,42 @@ class TestSelection:
         second = engine.select(compiled, graph, layer)
         assert second.feature_seconds == 0.0
 
+    def test_graph_vector_memo_follows_graph_lifetime(
+        self, engine, rng, monkeypatch
+    ):
+        """Graphs built and dropped in a loop recycle ``id()`` values; each
+        must still be featurized exactly once, and the engine must keep
+        none of them alive."""
+        import gc
+        import weakref
+
+        from repro.core import runtime
+        from repro.core.features import featurize_graph
+        from repro.graphs import erdos_renyi
+
+        calls = []
+
+        def counting(graph):
+            calls.append(graph.num_nodes)
+            return featurize_graph(graph)
+
+        monkeypatch.setattr(runtime, "featurize_graph", counting)
+        layer = GATLayer(16, 8, rng=rng)  # one viable plan: no cost models
+        compiled = engine.compile_for(layer)
+        dead = []
+        for i in range(60):
+            graph = erdos_renyi(20 + i, 2.0 + i % 5, seed=i)
+            engine.select(compiled, graph, layer)
+            assert engine.select(compiled, graph, layer).feature_seconds == 0.0
+            assert np.array_equal(
+                engine._graph_vecs[graph], featurize_graph(graph)
+            )
+            dead.append(weakref.ref(graph))
+            del graph
+        gc.collect()
+        assert calls == [20 + i for i in range(60)]
+        assert all(ref() is None for ref in dead)
+
     def test_gat_growing_uses_cost_models(self, engine, graph, rng):
         layer = GATLayer(32, 128, rng=rng)
         report = engine.select(engine.compile_for(layer), graph, layer)

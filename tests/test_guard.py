@@ -208,34 +208,33 @@ class TestCircuitBreaker:
         assert snap["spmm/blocked"]["reopens_in_seconds"] == pytest.approx(10.0)
         pickle.loads(pickle.dumps(snap))
 
-    def test_breaker_excludes_then_restores_strategy(self, engine, graph, gcn):
-        """An open breaker removes a strategy from auto selection; the
-        cooldown restores it."""
+    def test_breaker_excludes_then_restores_strategy(self, graph, gcn):
+        """An open breaker makes the guarded executor skip a pinned
+        strategy's rung; the cooldown restores it.  Auto selection runs
+        the kernel of record whatever the breakers say."""
         clock = FakeClock()
-        engine_b = GraniiEngine(
-            device="h100", scale="small", spmm_strategy="auto",
-            breakers=CircuitBreaker(threshold=1, cooldown_seconds=50,
-                                    clock=clock),
-        )
-        _ = engine_b.cost_models  # auto selection needs materialised models
-        compiled = engine_b.compile_for(gcn, graph)
-        env = engine_b.shape_env(graph, gcn)
-        from repro.core.features import featurize_graph
+        breakers = CircuitBreaker(threshold=1, cooldown_seconds=50, clock=clock)
+        feats = feats_for(graph)
 
-        graph_vec = featurize_graph(graph)
-        plan = compiled.viable(env["K1"], env["K2"])[0].plan
-        _, baseline_costs = engine_b.select_spmm_strategy(plan, env, graph_vec)
-        assert "blocked" in baseline_costs and "blocked_parallel" in baseline_costs
+        def run(strategy):
+            engine_b = GraniiEngine(
+                device="h100", scale="small", spmm_strategy=strategy,
+                guarded=True, breakers=breakers,
+            )
+            selection = engine_b.optimize(gcn, graph, feats).selections[0]
+            gcn(graph, feats)
+            return selection
 
-        engine_b.breakers.record_failure("spmm", "blocked")
-        engine_b.breakers.record_failure("spmm", "blocked_parallel")
-        strategy, costs = engine_b.select_spmm_strategy(plan, env, graph_vec)
-        assert "blocked" not in costs and "blocked_parallel" not in costs
-        assert strategy == "row_segment"
+        breakers.record_failure("spmm", "blocked")
+        selection = run("blocked")
+        assert selection.spmm_strategy == "blocked"
+        assert [d.reason for d in selection.demotions] == ["breaker_open"]
+        assert run("auto").spmm_strategy == "row_segment"
 
-        clock.now = 50.0  # cooldown over: strategies rejoin the pool
-        _, costs = engine_b.select_spmm_strategy(plan, env, graph_vec)
-        assert "blocked" in costs and "blocked_parallel" in costs
+        clock.now = 50.0  # cooldown over: the strategy's rung runs again
+        selection = run("blocked")
+        assert selection.spmm_strategy == "blocked"
+        assert selection.demotions == []
 
 
 # ----------------------------------------------------------------------
